@@ -41,6 +41,18 @@ fn bench_modpow(c: &mut Criterion) {
     let base = BigUint::from_u64(0x1234_5678_9abc_def1);
     let exp = &p - &BigUint::from_u64(12345);
     c.bench_function("bigint/modpow_1024", |b| b.iter(|| base.modpow(&exp, &p)));
+    // The RSA-verify shape: a short exponent must not pay for a wide
+    // window table.
+    let e65537 = BigUint::from_u64(65537);
+    c.bench_function("bigint/modpow_1024_e65537", |b| {
+        b.iter(|| base.modpow(&e65537, &p))
+    });
+    // A Paillier n²-sized (2048-bit, 32-limb) odd modulus with a
+    // full-width exponent.
+    let mut rng = rand::rngs::StdRng::seed_from_u64(3);
+    let n2 = BigUint::random_bits(&mut rng, 2048, true);
+    let exp2 = BigUint::random_bits(&mut rng, 2048, false);
+    c.bench_function("bigint/modpow_2048", |b| b.iter(|| base.modpow(&exp2, &n2)));
 }
 
 criterion_group!(

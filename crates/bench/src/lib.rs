@@ -3,8 +3,8 @@
 //!
 //! Each `repro_*` binary in `src/bin/` prints the rows/series of one paper
 //! artifact; the Criterion benches in `benches/` provide statistically
-//! sound micro-timings of the same code paths. EXPERIMENTS.md records
-//! paper-vs-measured for each.
+//! sound micro-timings of the same code paths. `e2ebench/README.md`
+//! describes the end-to-end and per-layer benchmark of the daemon.
 
 use std::time::Instant;
 

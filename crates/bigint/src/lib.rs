@@ -8,7 +8,13 @@
 //!
 //! * schoolbook and Karatsuba multiplication,
 //! * Knuth Algorithm D division,
-//! * Montgomery modular exponentiation,
+//! * Montgomery modular exponentiation: limb-slice kernels write each
+//!   product (squares computing every cross product once, then doubling)
+//!   into caller-owned scratch and reduce it in place with REDC, under a
+//!   fixed window whose width grows with the exponent's bit length (1 bit
+//!   up to 23 bits, up to 6 bits past 671). A modpow allocates a constant
+//!   handful of buffers, none in its loop; its operation sequence depends
+//!   on the exponent, so it is not constant-time,
 //! * extended-Euclid modular inverses,
 //! * Miller–Rabin primality testing and random prime generation.
 //!

@@ -9,15 +9,28 @@ use crate::BigIntError;
 /// Exponentiations against the same modulus (the common case in the INDaaS
 /// P-SOP ring protocol, where every element is encrypted under the same
 /// group) share the precomputed `R^2 mod n` and `-n^{-1} mod 2^64` values.
+///
+/// [`Montgomery::modpow`] is a fixed-window exponentiation over `k`-limb
+/// slices. Each Montgomery multiply writes the full `2k`-limb product (or,
+/// for a square, each cross product once, doubled, plus the diagonal) into
+/// a scratch buffer and then reduces it in place with word-by-word REDC.
+/// The window width grows with the exponent: 1 bit up to 23 bits (so
+/// `e = 65537` is plain square-and-multiply), then 3, 4, 5 and 6 bits above
+/// 23, 79, 239 and 671 bits. One buffer holds the product scratch, the
+/// accumulator and the `2^w`-entry table of base powers, so a modpow makes
+/// a fixed handful of heap allocations (reducing the base, that buffer and
+/// the result) whatever the exponent length, and none in its loop.
+///
+/// Timing is not constant: the operation sequence depends on the exponent
+/// (a zero window skips its multiply, as a zero bit did before windowing)
+/// and the final conditional subtraction of each REDC on the operands.
 #[derive(Clone, Debug)]
 pub struct Montgomery {
     n: BigUint,
-    /// Number of limbs in the modulus (the Montgomery "k").
-    k: usize,
     /// `-n[0]^{-1} mod 2^64`.
     n0inv: u64,
-    /// `R^2 mod n` where `R = 2^(64k)`.
-    rr: BigUint,
+    /// `R^2 mod n` where `R = 2^(64k)`, zero-padded to `k` limbs.
+    rr: Vec<u64>,
 }
 
 impl Montgomery {
@@ -31,12 +44,12 @@ impl Montgomery {
         let k = n.limbs().len();
         let n0inv = inv64(n.limbs()[0]).wrapping_neg();
         // R^2 mod n computed by shifting; runs once per modulus.
-        let r2 = (&BigUint::one() << (128 * k)).rem(n);
+        let mut rr = (&BigUint::one() << (128 * k)).rem(n).limbs;
+        rr.resize(k, 0);
         Some(Montgomery {
             n: n.clone(),
-            k,
             n0inv,
-            rr: r2,
+            rr,
         })
     }
 
@@ -45,67 +58,181 @@ impl Montgomery {
         &self.n
     }
 
-    /// Montgomery reduction of a (at most) `2k`-limb value `t`:
-    /// returns `t * R^{-1} mod n`.
-    fn redc(&self, t: &BigUint) -> BigUint {
-        let k = self.k;
-        let mut limbs = t.limbs().to_vec();
-        limbs.resize(2 * k + 1, 0);
-        for i in 0..k {
-            let m = limbs[i].wrapping_mul(self.n0inv);
-            // limbs += m * n << (64*i)
-            let mut carry: u128 = 0;
-            for (j, &nj) in self.n.limbs().iter().enumerate() {
-                let tot = limbs[i + j] as u128 + m as u128 * nj as u128 + carry;
-                limbs[i + j] = tot as u64;
-                carry = tot >> 64;
-            }
-            let mut idx = i + k;
-            while carry != 0 {
-                let tot = limbs[idx] as u128 + carry;
-                limbs[idx] = tot as u64;
-                carry = tot >> 64;
-                idx += 1;
-            }
-        }
-        let reduced = BigUint::from_limbs(limbs[k..].to_vec());
-        if reduced >= self.n {
-            reduced.checked_sub(&self.n).expect("reduced >= n")
-        } else {
-            reduced
-        }
-    }
-
-    /// Converts into Montgomery form: `a * R mod n`.
-    fn to_mont(&self, a: &BigUint) -> BigUint {
-        self.redc(&(a * &self.rr))
-    }
-
-    /// Multiplies two Montgomery-form values.
-    fn mont_mul(&self, a: &BigUint, b: &BigUint) -> BigUint {
-        self.redc(&(a * b))
-    }
-
-    /// Computes `base^exp mod n` using left-to-right square-and-multiply
-    /// over Montgomery representatives.
+    /// Computes `base^exp mod n` with a fixed-window exponentiation over
+    /// Montgomery representatives.
     pub fn modpow(&self, base: &BigUint, exp: &BigUint) -> BigUint {
         if self.n.is_one() {
             return BigUint::zero();
         }
-        let base = base.rem(&self.n);
         if exp.is_zero() {
             return BigUint::one();
         }
-        let mont_base = self.to_mont(&base);
-        let mut acc = self.to_mont(&BigUint::one());
-        for i in (0..exp.bits()).rev() {
-            acc = self.mont_mul(&acc, &acc);
-            if exp.bit(i) {
-                acc = self.mont_mul(&acc, &mont_base);
+        let k = self.n.limbs.len();
+        let bits = exp.bits();
+        let w = window_bits(bits);
+        // Layout: product scratch (2k) | accumulator (k) | table (2^w * k).
+        let mut buf = vec![0u64; 3 * k + (k << w)];
+        let (t, rest) = buf.split_at_mut(2 * k);
+        let (acc, table) = rest.split_at_mut(k);
+
+        // table[1] = base * R mod n; table[i] = table[i-1] * table[1].
+        let base = base.rem(&self.n);
+        table[k..k + base.limbs.len()].copy_from_slice(&base.limbs);
+        self.mont_mul(&mut table[k..2 * k], &self.rr, t);
+        for i in 2..1usize << w {
+            let (done, todo) = table.split_at_mut(i * k);
+            let entry = &mut todo[..k];
+            entry.copy_from_slice(&done[(i - 1) * k..]);
+            self.mont_mul(entry, &done[k..2 * k], t);
+        }
+
+        // Windows run from the most significant bit down; the top one
+        // holds the remainder `bits % w` and is never zero.
+        let mut pos = bits - (bits - 1) % w - 1;
+        let top = window_at(exp, pos, bits - pos);
+        acc.copy_from_slice(&table[top * k..(top + 1) * k]);
+        while pos > 0 {
+            pos -= w;
+            for _ in 0..w {
+                self.mont_sqr(acc, t);
+            }
+            let win = window_at(exp, pos, w);
+            if win != 0 {
+                self.mont_mul(acc, &table[win * k..(win + 1) * k], t);
             }
         }
-        self.redc(&acc)
+
+        // Leave Montgomery form: REDC of `acc` as a 2k-limb value.
+        t[..k].copy_from_slice(acc);
+        t[k..].fill(0);
+        self.redc(t, acc);
+        BigUint::from_limbs(acc.to_vec())
     }
+
+    /// `acc = acc * b * R^{-1} mod n`; `t` is `2k` limbs of scratch.
+    fn mont_mul(&self, acc: &mut [u64], b: &[u64], t: &mut [u64]) {
+        mul_into(t, acc, b);
+        self.redc(t, acc);
+    }
+
+    /// `acc = acc^2 * R^{-1} mod n`; `t` is `2k` limbs of scratch.
+    fn mont_sqr(&self, acc: &mut [u64], t: &mut [u64]) {
+        sqr_into(t, acc);
+        self.redc(t, acc);
+    }
+
+    /// Montgomery reduction of the `2k`-limb value `t < n * R`, consuming
+    /// `t`: writes `t * R^{-1} mod n` to the `k` limbs of `out`.
+    fn redc(&self, t: &mut [u64], out: &mut [u64]) {
+        let n = &self.n.limbs[..];
+        let k = n.len();
+        // Carry into limb `i + k + 1`, folded in by the next row.
+        let mut top = 0u64;
+        for i in 0..k {
+            let m = t[i].wrapping_mul(self.n0inv);
+            let row = &mut t[i..=i + k];
+            let mut carry = 0u64;
+            for (tj, &nj) in row[..k].iter_mut().zip(n) {
+                let x = *tj as u128 + m as u128 * nj as u128 + carry as u128;
+                *tj = x as u64;
+                carry = (x >> 64) as u64;
+            }
+            let x = row[k] as u128 + carry as u128 + top as u128;
+            row[k] = x as u64;
+            top = (x >> 64) as u64;
+        }
+        // The reduced value `top * R + t[k..]` is below 2n.
+        let hi = &t[k..];
+        if top != 0 || !less_than(hi, n) {
+            let mut borrow = false;
+            for ((o, &h), &nj) in out.iter_mut().zip(hi).zip(n) {
+                let (d1, b1) = h.overflowing_sub(nj);
+                let (d2, b2) = d1.overflowing_sub(borrow as u64);
+                *o = d2;
+                borrow = b1 | b2;
+            }
+        } else {
+            out.copy_from_slice(hi);
+        }
+    }
+}
+
+/// Window width for an exponent of `bits` bits: the cost of building a
+/// `2^w`-entry table is weighed against one multiply per `w` bits.
+fn window_bits(bits: usize) -> usize {
+    match bits {
+        0..=23 => 1,
+        24..=79 => 3,
+        80..=239 => 4,
+        240..=671 => 5,
+        _ => 6,
+    }
+}
+
+/// The `len`-bit window of `exp` starting at bit `pos` (`len <= 6`).
+fn window_at(exp: &BigUint, pos: usize, len: usize) -> usize {
+    (0..len).fold(0, |acc, i| acc | (exp.bit(pos + i) as usize) << i)
+}
+
+/// `t = a * b` for equal-length `a`, `b`; `t` holds `2 * a.len()` limbs.
+fn mul_into(t: &mut [u64], a: &[u64], b: &[u64]) {
+    let k = a.len();
+    t[..k].fill(0);
+    for (i, &ai) in a.iter().enumerate() {
+        let row = &mut t[i..=i + k];
+        let mut carry = 0u64;
+        for (tj, &bj) in row[..k].iter_mut().zip(b) {
+            let x = *tj as u128 + ai as u128 * bj as u128 + carry as u128;
+            *tj = x as u64;
+            carry = (x >> 64) as u64;
+        }
+        row[k] = carry;
+    }
+}
+
+/// `t = a^2`; `t` holds `2 * a.len()` limbs. Each cross product `a_i a_j`
+/// (`i < j`) is computed once and doubled by a shift, then the squares
+/// `a_i^2` are added on the diagonal.
+fn sqr_into(t: &mut [u64], a: &[u64]) {
+    let k = a.len();
+    // Row i adds `a_i a_j` (j > i) into limbs `2i + 1 .. i + k` and sets
+    // limb `i + k`, which no earlier row reached; row 0 adds into zeros.
+    t[..k].fill(0);
+    for (i, &ai) in a.iter().enumerate() {
+        let row = &mut t[2 * i + 1..=i + k];
+        let mut carry = 0u64;
+        for (tj, &aj) in row.iter_mut().zip(&a[i + 1..]) {
+            let x = *tj as u128 + ai as u128 * aj as u128 + carry as u128;
+            *tj = x as u64;
+            carry = (x >> 64) as u64;
+        }
+        row[k - i - 1] = carry;
+    }
+    let mut shifted_out = 0u64;
+    for limb in t.iter_mut() {
+        let next = *limb >> 63;
+        *limb = (*limb << 1) | shifted_out;
+        shifted_out = next;
+    }
+    let mut carry = 0u64;
+    for (pair, &ai) in t.chunks_exact_mut(2).zip(a) {
+        let sq = ai as u128 * ai as u128;
+        let lo = pair[0] as u128 + (sq as u64) as u128 + carry as u128;
+        pair[0] = lo as u64;
+        let hi = pair[1] as u128 + (sq >> 64) + (lo >> 64);
+        pair[1] = hi as u64;
+        carry = (hi >> 64) as u64;
+    }
+}
+
+/// `a < b` for equal-length little-endian limb slices.
+fn less_than(a: &[u64], b: &[u64]) -> bool {
+    for (x, y) in a.iter().rev().zip(b.iter().rev()) {
+        if x != y {
+            return x < y;
+        }
+    }
+    false
 }
 
 /// Inverse of odd `x` modulo `2^64`, via Newton–Hensel lifting.

@@ -2,6 +2,7 @@
 
 use rand::Rng;
 
+use crate::modular::Montgomery;
 use crate::uint::BigUint;
 
 /// Small primes used for cheap trial division before Miller–Rabin.
@@ -82,20 +83,22 @@ pub fn is_probable_prime(n: &BigUint, rounds: usize, rng: &mut impl Rng) -> bool
     let n_minus_1 = n.checked_sub(&BigUint::one()).expect("n >= 2");
     let s = trailing_zeros(&n_minus_1);
     let d = &n_minus_1 >> s;
+    // One context serves every witness: R^2 mod n is computed once.
+    let ctx = Montgomery::new(n).expect("n is odd");
 
     // Deterministic witnesses cover n < 2^64 (Sinclair's set).
     if n.bits() <= 64 {
         const WITNESSES: [u64; 7] = [2, 325, 9375, 28178, 450775, 9780504, 1795265022];
         return WITNESSES
             .iter()
-            .all(|&a| miller_rabin_round(n, &BigUint::from_u64(a), &d, s, &n_minus_1));
+            .all(|&a| miller_rabin_round(&ctx, &BigUint::from_u64(a), &d, s, &n_minus_1));
     }
 
     let two = BigUint::from_u64(2);
     let span = n_minus_1.checked_sub(&two).expect("n > 4");
     for _ in 0..rounds {
         let a = &BigUint::random_below(rng, &span) + &two; // a in [2, n-2]
-        if !miller_rabin_round(n, &a, &d, s, &n_minus_1) {
+        if !miller_rabin_round(&ctx, &a, &d, s, &n_minus_1) {
             return false;
         }
     }
@@ -104,17 +107,18 @@ pub fn is_probable_prime(n: &BigUint, rounds: usize, rng: &mut impl Rng) -> bool
 
 /// One Miller–Rabin round: returns false if `a` witnesses compositeness.
 fn miller_rabin_round(
-    n: &BigUint,
+    ctx: &Montgomery,
     a: &BigUint,
     d: &BigUint,
     s: usize,
     n_minus_1: &BigUint,
 ) -> bool {
+    let n = ctx.modulus();
     let a = a.rem(n);
     if a.is_zero() || a.is_one() {
         return true;
     }
-    let mut x = a.modpow(d, n);
+    let mut x = ctx.modpow(&a, d);
     if x.is_one() || &x == n_minus_1 {
         return true;
     }

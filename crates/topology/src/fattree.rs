@@ -20,7 +20,8 @@ pub struct FatTreeConfig {
     /// Cap on the number of distinct uplink paths enumerated per server
     /// when emitting route records (`None` = all `(k/2)²` paths). The paper
     /// materializes every path; for topology C that is 576 routes per
-    /// server, so large-scale runs set a cap and EXPERIMENTS.md records it.
+    /// server, so large-scale runs set a cap and report it, as
+    /// `e2ebench/README.md` does with the record count of its topology.
     pub max_paths_per_server: Option<usize>,
 }
 
