@@ -86,7 +86,8 @@ fn fresh_record(host: &str, writer: usize, tag: u64) -> DependencyRecord {
 }
 
 /// Seeds every shard with `per_shard` resident records so each
-/// effective write pays a realistic copy-on-write snapshot re-clone.
+/// effective write pays a realistic snapshot refresh (a structural clone
+/// of the shard's host index, one pointer per host and kind).
 fn seed(store: &ShardedDepDb, shards: usize, per_shard: usize) {
     let mut records = Vec::with_capacity(shards * per_shard);
     for s in 0..shards {

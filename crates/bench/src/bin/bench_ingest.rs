@@ -1,17 +1,19 @@
 //! Ingest-path benchmark: sharded vs monolithic dependency store.
 //!
-//! The daemon's hottest write path used to clone the *entire* `DepDb`
-//! into a fresh `Arc` on every effective ingest and invalidate the whole
-//! audit cache on every epoch bump. The sharded store
-//! (`indaas_deps::ShardedDepDb`) re-clones only the shard a batch
-//! touched and invalidates only the cache entries pinned to it. This
-//! benchmark measures both effects at growing resident sizes:
+//! The daemon's hottest write path publishes a fresh snapshot after
+//! every effective ingest and invalidates the audit cache on every epoch
+//! bump. The sharded store (`indaas_deps::ShardedDepDb`) refreshes only
+//! the shard a batch touched and invalidates only the cache entries
+//! pinned to it. This benchmark measures both effects at growing
+//! resident sizes:
 //!
 //! * **ingest latency** — one fresh single-host record into a store
 //!   already holding 10k/100k/1M records, timed end to end including
-//!   the snapshot refresh (the monolithic baseline is a 1-shard store,
-//!   whose per-ingest full clone is exactly the old
-//!   `Arc::new(db.clone())` path);
+//!   the snapshot refresh. The monolithic baseline is a 1-shard store.
+//!   A refresh is a structural clone of the shard's host index — one
+//!   pointer per host and kind, no record copied — so the baseline pays
+//!   for every host in the store and a sharded ingest for the hosts of
+//!   one shard;
 //! * **audit-cache survival** — cache entries pinned across all shards,
 //!   then one single-host ingest: the fraction of cached audits still
 //!   live afterwards (monolithic: always 0 — every bump evicts
@@ -81,10 +83,9 @@ fn median_us(mut samples: Vec<f64>) -> f64 {
 }
 
 /// Times `trials` single-record ingests (each touching exactly one
-/// shard) against a resident store, including the copy-on-write
-/// snapshot refresh published after every effective batch (since the
-/// per-shard-lock refactor this happens under only the touched shard's
-/// own mutex — there is no store-wide write lock left to hold).
+/// shard) against a resident store, including the snapshot refresh
+/// published after every effective batch under the touched shard's own
+/// mutex (there is no store-wide write lock).
 fn time_ingests(store: &ShardedDepDb, trials: usize) -> f64 {
     let mut lat = Vec::with_capacity(trials);
     for t in 0..trials {
@@ -196,9 +197,9 @@ fn main() {
     // step fails loudly on a regression instead of uploading a
     // silently-worse artifact: an ingest to one shard must leave other
     // shards' cached audits alive, and sharded ingest must beat the
-    // monolithic full-clone path at the largest measured size — by the
-    // acceptance margin (10x) in full mode, and by any margin in smoke
-    // mode (small sizes on noisy CI runners leave less headroom).
+    // 1-shard store's whole-index refresh at the largest measured size —
+    // by the acceptance margin (10x) in full mode, and by any margin in
+    // smoke mode (small sizes on noisy CI runners leave less headroom).
     let largest = results.last().expect("at least one size");
     assert!(
         largest.sharded_cache_survival > largest.mono_cache_survival,

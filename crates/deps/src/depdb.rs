@@ -3,6 +3,7 @@
 
 use std::collections::BTreeSet;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
@@ -92,12 +93,63 @@ impl DepRecordRef<'_> {
 }
 
 /// In-memory dependency store indexed by host.
+///
+/// Storage is structurally shared: each host's record list of each kind
+/// sits behind its own `Arc`, and [`DepDb::insert`]/[`DepDb::remove`]
+/// edit it through `Arc::make_mut`. Cloning a database therefore copies
+/// one pointer per host and kind but no record, and an edit after a
+/// clone copies only the one list it changes — which is what lets the
+/// sharded store publish a fresh shard snapshot per ingest at a cost
+/// proportional to what changed, with the writer and every published
+/// snapshot sharing all untouched hosts.
 #[derive(Clone, Debug, Default, Serialize, Deserialize)]
 pub struct DepDb {
-    network: HashMap<String, Vec<NetworkDep>>,
-    hardware: HashMap<String, Vec<HardwareDep>>,
-    software: HashMap<String, Vec<SoftwareDep>>,
+    network: HashMap<String, Arc<Vec<NetworkDep>>>,
+    hardware: HashMap<String, Arc<Vec<HardwareDep>>>,
+    software: HashMap<String, Arc<Vec<SoftwareDep>>>,
     record_count: usize,
+}
+
+/// Appends `record` to its host's list unless an identical record is
+/// already there; a list shared with a clone is copied first.
+fn add_to<T: PartialEq + Clone>(
+    map: &mut HashMap<String, Arc<Vec<T>>>,
+    record: T,
+    host: fn(&T) -> &str,
+) -> bool {
+    match map.get_mut(host(&record)) {
+        Some(list) if list.contains(&record) => false,
+        Some(list) => {
+            Arc::make_mut(list).push(record);
+            true
+        }
+        None => {
+            map.insert(host(&record).to_owned(), Arc::new(vec![record]));
+            true
+        }
+    }
+}
+
+/// Removes the record equal to `needle` from `key`'s list, dropping the
+/// host entry with its last record; a list shared with a clone is
+/// copied first.
+fn remove_from<T: PartialEq + Clone>(
+    map: &mut HashMap<String, Arc<Vec<T>>>,
+    key: &str,
+    needle: &T,
+) -> bool {
+    let Some(list) = map.get_mut(key) else {
+        return false;
+    };
+    let Some(pos) = list.iter().position(|x| x == needle) else {
+        return false;
+    };
+    if list.len() == 1 {
+        map.remove(key);
+    } else {
+        Arc::make_mut(list).remove(pos);
+    }
+    true
 }
 
 impl DepDb {
@@ -120,33 +172,9 @@ impl DepDb {
     /// record was new.
     pub fn insert(&mut self, record: DependencyRecord) -> bool {
         let inserted = match record {
-            DependencyRecord::Network(n) => {
-                let v = self.network.entry(n.src.clone()).or_default();
-                if v.contains(&n) {
-                    false
-                } else {
-                    v.push(n);
-                    true
-                }
-            }
-            DependencyRecord::Hardware(h) => {
-                let v = self.hardware.entry(h.hw.clone()).or_default();
-                if v.contains(&h) {
-                    false
-                } else {
-                    v.push(h);
-                    true
-                }
-            }
-            DependencyRecord::Software(s) => {
-                let v = self.software.entry(s.hw.clone()).or_default();
-                if v.contains(&s) {
-                    false
-                } else {
-                    v.push(s);
-                    true
-                }
-            }
+            DependencyRecord::Network(n) => add_to(&mut self.network, n, |n| &n.src),
+            DependencyRecord::Hardware(h) => add_to(&mut self.hardware, h, |h| &h.hw),
+            DependencyRecord::Software(s) => add_to(&mut self.software, s, |s| &s.hw),
         };
         if inserted {
             self.record_count += 1;
@@ -159,27 +187,10 @@ impl DepDb {
     /// Supports *update* flows: an acquisition module that re-measures a
     /// changed route removes the stale record and inserts the new one.
     pub fn remove(&mut self, record: &DependencyRecord) -> bool {
-        fn drop_from<T: PartialEq>(
-            map: &mut HashMap<String, Vec<T>>,
-            key: &str,
-            needle: &T,
-        ) -> bool {
-            let Some(v) = map.get_mut(key) else {
-                return false;
-            };
-            let Some(pos) = v.iter().position(|x| x == needle) else {
-                return false;
-            };
-            v.remove(pos);
-            if v.is_empty() {
-                map.remove(key);
-            }
-            true
-        }
         let removed = match record {
-            DependencyRecord::Network(n) => drop_from(&mut self.network, &n.src, n),
-            DependencyRecord::Hardware(h) => drop_from(&mut self.hardware, &h.hw, h),
-            DependencyRecord::Software(s) => drop_from(&mut self.software, &s.hw, s),
+            DependencyRecord::Network(n) => remove_from(&mut self.network, &n.src, n),
+            DependencyRecord::Hardware(h) => remove_from(&mut self.hardware, &h.hw, h),
+            DependencyRecord::Software(s) => remove_from(&mut self.software, &s.hw, s),
         };
         if removed {
             self.record_count -= 1;
@@ -189,17 +200,17 @@ impl DepDb {
 
     /// Network routes originating at `host`.
     pub fn network_deps(&self, host: &str) -> &[NetworkDep] {
-        self.network.get(host).map_or(&[], Vec::as_slice)
+        self.network.get(host).map_or(&[], |list| list.as_slice())
     }
 
     /// Hardware components of `host`.
     pub fn hardware_deps(&self, host: &str) -> &[HardwareDep] {
-        self.hardware.get(host).map_or(&[], Vec::as_slice)
+        self.hardware.get(host).map_or(&[], |list| list.as_slice())
     }
 
     /// Software records for programs running on `host`.
     pub fn software_deps(&self, host: &str) -> &[SoftwareDep] {
-        self.software.get(host).map_or(&[], Vec::as_slice)
+        self.software.get(host).map_or(&[], |list| list.as_slice())
     }
 
     /// All hosts that have at least one record of any kind.
@@ -228,7 +239,7 @@ impl DepDb {
     /// like [`DepDb::save`] and shard re-routing, which previously
     /// materialized a full `Vec` of clones on every pass.
     pub fn records_iter(&self) -> impl Iterator<Item = DepRecordRef<'_>> {
-        fn sorted_keys<T>(map: &HashMap<String, Vec<T>>) -> Vec<&String> {
+        fn sorted_keys<T>(map: &HashMap<String, Arc<Vec<T>>>) -> Vec<&String> {
             let mut hosts: Vec<_> = map.keys().collect();
             hosts.sort();
             hosts
@@ -424,6 +435,50 @@ mod tests {
         }
     }
 
+    fn same_list<T>(
+        a: &HashMap<String, Arc<Vec<T>>>,
+        b: &HashMap<String, Arc<Vec<T>>>,
+        host: &str,
+    ) -> bool {
+        match (a.get(host), b.get(host)) {
+            (Some(x), Some(y)) => Arc::ptr_eq(x, y),
+            (None, None) => true,
+            _ => false,
+        }
+    }
+
+    #[test]
+    fn an_edit_after_a_clone_copies_only_the_list_it_changes() {
+        let before = sample_db();
+        let mut after = before.clone();
+        assert!(after.insert(DependencyRecord::Hardware(HardwareDep {
+            hw: "S2".into(),
+            hw_type: "NIC".into(),
+            dep: "nic-x520".into(),
+        })));
+        assert!(!same_list(&before.hardware, &after.hardware, "S2"));
+        assert_eq!(
+            before.hardware_deps("S2").len(),
+            1,
+            "the clone is untouched"
+        );
+        assert_eq!(after.hardware_deps("S2").len(), 2);
+        for host in before.hosts() {
+            assert!(same_list(&before.network, &after.network, &host));
+            assert!(same_list(&before.software, &after.software, &host));
+            if host != "S2" {
+                assert!(same_list(&before.hardware, &after.hardware, &host));
+            }
+        }
+        // Removing a host's last record of a kind drops the entry, never
+        // editing the list the clone still reads.
+        let gone = DependencyRecord::Software(before.software_deps("S1")[0].clone());
+        assert!(after.remove(&gone));
+        assert!(after.software_deps("S1").is_empty());
+        assert_eq!(before.software_deps("S1").len(), 1);
+        assert!(same_list(&before.network, &after.network, "S1"));
+    }
+
     #[test]
     fn file_roundtrip() {
         let db = sample_db();
@@ -442,6 +497,28 @@ mod tests {
         let err = DepDb::load(&path).unwrap_err();
         std::fs::remove_file(&path).ok();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+    }
+
+    /// The JSON form of [`sample_db`], generated before host lists were
+    /// stored behind `Arc`s: the wire and persist format must not move
+    /// with the storage layout.
+    const SAMPLE_DB_JSON: &str = concat!(
+        r#"{"hardware":{"S1":[{"dep":"cpu-x5550","hw":"S1","hw_type":"CPU"}],"#,
+        r#""S2":[{"dep":"disk-sed900","hw":"S2","hw_type":"Disk"}]},"#,
+        r#""network":{"S1":[{"dst":"Internet","route":["ToR1","Core1"],"src":"S1"},"#,
+        r#"{"dst":"Internet","route":["ToR1","Core2"],"src":"S1"}],"#,
+        r#""S2":[{"dst":"Internet","route":["ToR1","Core1"],"src":"S2"}]},"#,
+        r#""record_count":6,"#,
+        r#""software":{"S1":[{"deps":["libc6","libsvn1"],"hw":"S1","pgm":"Riak1"}]}}"#
+    );
+
+    #[test]
+    fn serde_json_is_pinned() {
+        let json = serde_json::to_string(&sample_db()).unwrap();
+        assert_eq!(json, SAMPLE_DB_JSON);
+        let back: DepDb = serde_json::from_str(SAMPLE_DB_JSON).unwrap();
+        assert_eq!(back.all_records(), sample_db().all_records());
+        assert_eq!(back.len(), sample_db().len());
     }
 
     #[test]

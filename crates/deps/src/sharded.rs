@@ -1,20 +1,28 @@
 //! Host-sharded dependency store with per-shard locks, per-shard
 //! epochs, and wait-free snapshot publication.
 //!
-//! The auditing daemon's write path has evolved in two steps. First the
-//! store was sharded by host key so an ingest re-clones only the shards
-//! it changed (copy-on-write snapshots, cost proportional to what
-//! changed). But every shard still lived under one `RwLock`: ingests to
+//! The auditing daemon's write path has evolved in three steps. First
+//! the store was sharded by host key so an ingest refreshes only the
+//! shards it changed and invalidates only the audits pinned to them.
+//! But every shard still lived under one `RwLock`: ingests to
 //! *different* shards serialized, and every audit's `snapshot()` call
 //! contended with writers. Cloud dependency data arrives as high-rate,
 //! mostly-local updates from many collectors at once (AID,
-//! arXiv:2109.04893), so the store is now **concurrent**:
+//! arXiv:2109.04893), so the store is now **concurrent**. Finally, each
+//! published shard snapshot is a structural clone ([`DepDb`] keeps each
+//! host's records behind an `Arc`), so an ingest costs what it changed —
+//! the edited host lists plus one pointer per host — not the size of its
+//! shard:
 //!
 //! * every record routes to `shard_index(record.host(), N)` — all three
 //!   record kinds key by host, so a host's records always land together;
 //! * each shard is an independent cell: a [`VersionedDepDb`] behind its
 //!   **own write mutex**, whose current `Arc<DepDb>` snapshot is
-//!   published through an [`ArcSwapCell`] (atomic pointer swap);
+//!   published through an [`ArcSwapCell`] (atomic pointer swap). Writer
+//!   and snapshots share every host list the writer has not edited
+//!   since, and a replaced snapshot is parked under the write mutex
+//!   until no reader holds it, so the writer — never a reader — frees
+//!   it;
 //! * mutations pre-route the batch by shard *before* taking any lock,
 //!   then lock **only the touched shards**, in ascending index order so
 //!   multi-shard batches can never deadlock against each other —
@@ -136,10 +144,11 @@ pub struct ShardCounters {
 #[derive(Debug)]
 pub(crate) struct ShardCell {
     /// Guards mutations to this shard only.
-    pub(crate) write: Mutex<VersionedDepDb>,
+    pub(crate) write: Mutex<ShardWriter>,
     /// The shard's current immutable snapshot; swapped (never edited in
     /// place) after each effective mutation, so readers holding an old
-    /// `Arc` keep a consistent view.
+    /// `Arc` keep a consistent view. Snapshot and writer share every
+    /// host list the writer has not edited since (see [`DepDb`]).
     pub(crate) snap: ArcSwapCell<DepDb>,
     /// Mirror of the shard's epoch, readable without the write lock.
     /// Published *after* the snapshot swap; snapshot readers load it
@@ -156,13 +165,29 @@ pub(crate) struct ShardCell {
     pub(crate) dirty: AtomicBool,
 }
 
+/// The write side of one shard, guarded by its write mutex.
+#[derive(Debug)]
+pub(crate) struct ShardWriter {
+    /// The shard's live database; mutations edit it in place.
+    db: VersionedDepDb,
+    /// Replaced snapshots that readers still held when they were swapped
+    /// out. Each publish drops the ones the writer has become the only
+    /// holder of, so freeing a snapshot is always the writer's work —
+    /// a reader's drop never releases the last reference — and the list
+    /// never outgrows the snapshots readers are actually holding.
+    retired: Vec<Arc<DepDb>>,
+}
+
 impl ShardCell {
     fn new(db: DepDb) -> Self {
         let versioned = VersionedDepDb::from_db(db);
         let epoch = versioned.epoch();
         let snapshot = Arc::new(versioned.db().clone());
         ShardCell {
-            write: Mutex::new(versioned),
+            write: Mutex::new(ShardWriter {
+                db: versioned,
+                retired: Vec::new(),
+            }),
             snap: ArcSwapCell::new(snapshot),
             epoch: AtomicU64::new(epoch),
             writes: AtomicU64::new(0),
@@ -173,17 +198,23 @@ impl ShardCell {
 
     /// Publishes the shard's post-mutation state: snapshot first, epoch
     /// second (the ordering half of the "data never older than its
-    /// epoch" invariant). Called with the shard write lock held.
-    fn publish(&self, db: &VersionedDepDb) {
-        self.snap.store(Arc::new(db.db().clone()));
-        self.epoch.store(db.epoch(), Ordering::Release);
+    /// epoch" invariant). Called with the shard write lock held. The
+    /// snapshot is a structural clone of the writer's database — one
+    /// pointer per host and kind, no record copied.
+    fn publish(&self, writer: &mut ShardWriter) {
+        let replaced = self.snap.swap(Arc::new(writer.db.db().clone()));
+        writer.retired.push(replaced);
+        // A count of 1 is the list's own reference: no reader can reach
+        // the snapshot any more, so no count can be taken concurrently.
+        writer.retired.retain(|snap| Arc::strong_count(snap) > 1);
+        self.epoch.store(writer.db.epoch(), Ordering::Release);
         self.writes.fetch_add(1, Ordering::Relaxed);
         self.dirty.store(true, Ordering::Release);
     }
 }
 
 /// A dependency store sharded by host key: per-shard write locks,
-/// wait-free copy-on-write snapshots.
+/// wait-free snapshots that share storage with the writer.
 ///
 /// All mutation entry points ([`ShardedDepDb::ingest`],
 /// [`ShardedDepDb::retract`], [`ShardedDepDb::update`]) take `&self`:
@@ -317,7 +348,7 @@ impl ShardedDepDb {
     }
 
     /// Locks one shard for writing, counting contended acquisitions.
-    fn lock_shard(&self, shard: usize) -> MutexGuard<'_, VersionedDepDb> {
+    fn lock_shard(&self, shard: usize) -> MutexGuard<'_, ShardWriter> {
         let cell = &self.shards[shard];
         match cell.write.try_lock() {
             Ok(guard) => guard,
@@ -369,10 +400,10 @@ impl ShardedDepDb {
     {
         debug_assert!(hit.windows(2).all(|w| w[0] < w[1]), "ascending lock order");
         let mut report = ShardedIngestReport::default();
-        let mut guards: Vec<(usize, MutexGuard<'_, VersionedDepDb>)> =
+        let mut guards: Vec<(usize, MutexGuard<'_, ShardWriter>)> =
             hit.into_iter().map(|s| (s, self.lock_shard(s))).collect();
         for (s, guard) in &mut guards {
-            let shard_report = apply(*s, guard);
+            let shard_report = apply(*s, &mut guard.db);
             report.changed += shard_report.changed;
             report.ignored += shard_report.ignored;
             if shard_report.changed > 0 {
@@ -645,6 +676,31 @@ mod tests {
         );
         assert!(db.epochs() != pinned, "the live store moved on");
         assert_eq!(db.snapshot().record_count(), 3);
+    }
+
+    #[test]
+    fn replaced_snapshots_are_freed_by_the_writer_not_by_readers() {
+        let db = ShardedDepDb::new(4);
+        db.ingest([host_record("S1", "cpu-1")]);
+        let s = db.shard_of("S1");
+        let held = Arc::clone(db.snapshot().shard(s));
+        let weak = Arc::downgrade(&held);
+        db.ingest([host_record("S1", "cpu-2")]);
+        drop(held);
+        assert!(
+            weak.upgrade().is_some(),
+            "a reader dropping a replaced snapshot must not free it"
+        );
+        db.ingest([host_record("S1", "cpu-3")]);
+        assert!(
+            weak.upgrade().is_none(),
+            "the next write to the shard frees it"
+        );
+        let writer = db.shards[s].write.lock().unwrap();
+        assert!(
+            writer.retired.is_empty(),
+            "snapshots no reader holds are never kept"
+        );
     }
 
     #[test]

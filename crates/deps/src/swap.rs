@@ -13,13 +13,14 @@
 //! * a reader **announces itself first** (`readers += 1`), then loads the
 //!   pointer, takes its reference count, and retires (`readers -= 1`);
 //! * a swapper **publishes the new pointer first**, then waits for
-//!   `readers == 0` before dropping the cell's reference to the old one.
+//!   `readers == 0` before releasing the cell's reference to the old one
+//!   (to the caller, from [`ArcSwapCell::swap`]).
 //!
 //! With sequentially consistent ordering on the announce, the pointer
 //! accesses and the drain load, every reader either announced before the
 //! swap (so the swapper's drain waits for it to finish taking its
 //! count) or loads the new pointer — the old value is never freed while
-//! a reader can still touch it. `load` is wait-free; `store` is
+//! a reader can still touch it. `load` is wait-free; `swap` is
 //! *blocking*: the single counter cannot tell pre-swap readers from
 //! post-swap ones, so the drain waits for a moment when **no** reader
 //! is inside its announce→retire window. Each window is a handful of
@@ -36,7 +37,7 @@ use std::sync::atomic::{AtomicPtr, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// An `Arc<T>` slot with wait-free [`ArcSwapCell::load`] and atomic
-/// [`ArcSwapCell::store`] publication.
+/// [`ArcSwapCell::swap`]/[`ArcSwapCell::store`] publication.
 pub struct ArcSwapCell<T> {
     /// Raw pointer produced by `Arc::into_raw`; the cell owns exactly
     /// one strong count on whatever it currently points at.
@@ -65,7 +66,7 @@ impl<T> ArcSwapCell<T> {
         let raw = self.ptr.load(Ordering::SeqCst);
         // SAFETY: `raw` came from `Arc::into_raw` and its strong count
         // cannot reach zero here: the only place the cell's reference is
-        // dropped is `store`'s post-drain drop, and the drain cannot
+        // released is `swap`'s post-drain hand-back, and the drain cannot
         // pass while our announce is visible — if our announce ordered
         // after the swap instead, this load already sees the new
         // pointer, whose reference the swapper still holds.
@@ -77,17 +78,22 @@ impl<T> ArcSwapCell<T> {
         arc
     }
 
-    /// Publishes `value` and drops the cell's reference to the previous
-    /// one once in-flight loads have drained. Callers must serialize
-    /// swaps externally (the shard write lock does).
-    pub fn store(&self, value: Arc<T>) {
+    /// Publishes `value` and hands back the cell's reference to the
+    /// previous one once in-flight loads have drained. Callers must
+    /// serialize swaps externally (the shard write lock does).
+    ///
+    /// Returning the old value instead of dropping it lets the caller
+    /// choose who pays for freeing it: the sharded store parks replaced
+    /// snapshots until no reader holds them, so a reader's drop is never
+    /// the last one.
+    pub fn swap(&self, value: Arc<T>) -> Arc<T> {
         let old = self
             .ptr
             .swap(Arc::into_raw(value).cast_mut(), Ordering::SeqCst);
         // Drain: any reader that announced before the swap may still be
         // between its pointer load and its count increment; wait it out.
         // Readers finishing after the swap saw the new pointer, so they
-        // only delay us, never race the drop.
+        // only delay us, never race the hand-back.
         let mut spins = 0u32;
         while self.readers.load(Ordering::SeqCst) != 0 {
             spins += 1;
@@ -97,9 +103,16 @@ impl<T> ArcSwapCell<T> {
                 std::hint::spin_loop();
             }
         }
-        // SAFETY: `old` came from `Arc::into_raw`; the drain guarantees
+        // SAFETY: `old` came from `Arc::into_raw` and carries the cell's
+        // strong count, which moves to the caller; the drain guarantees
         // every reader that could have loaded it holds its own count.
-        unsafe { drop(Arc::from_raw(old)) };
+        unsafe { Arc::from_raw(old) }
+    }
+
+    /// Publishes `value` and drops the cell's reference to the previous
+    /// one ([`ArcSwapCell::swap`] with the old value discarded).
+    pub fn store(&self, value: Arc<T>) {
+        drop(self.swap(value));
     }
 }
 
@@ -146,6 +159,20 @@ mod tests {
         assert_eq!(Arc::strong_count(&value), 2);
         drop(cell);
         assert_eq!(Arc::strong_count(&value), 1);
+    }
+
+    #[test]
+    fn swap_hands_back_the_previous_value() {
+        let first = Arc::new(1u32);
+        let cell = ArcSwapCell::new(Arc::clone(&first));
+        let old = cell.swap(Arc::new(2));
+        assert!(Arc::ptr_eq(&old, &first));
+        assert_eq!(
+            Arc::strong_count(&first),
+            2,
+            "the cell's count moved to the caller"
+        );
+        assert_eq!(*cell.load(), 2);
     }
 
     #[test]

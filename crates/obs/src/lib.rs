@@ -134,13 +134,13 @@ impl Gauge {
 }
 
 /// Fixed-bucket log₂ latency histogram. All operations are relaxed
-/// atomics; a concurrent snapshot may tear by a record or two, which is
-/// fine for monitoring (counts are never lost, only momentarily split
-/// across `count`/`sum`/bucket).
+/// atomics — two per record, the count being the bucket total — and a
+/// concurrent snapshot may tear by a record or two, which is fine for
+/// monitoring (counts are never lost, only momentarily split across
+/// `sum`/bucket).
 #[derive(Debug)]
 pub struct Histo {
     buckets: [AtomicU64; HISTO_BUCKETS],
-    count: AtomicU64,
     sum: AtomicU64,
 }
 
@@ -148,7 +148,6 @@ impl Default for Histo {
     fn default() -> Self {
         Self {
             buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            count: AtomicU64::new(0),
             sum: AtomicU64::new(0),
         }
     }
@@ -162,14 +161,15 @@ impl Histo {
     #[inline]
     pub fn record(&self, value: u64) {
         self.buckets[bucket_index(value)].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(value, Ordering::Relaxed);
     }
 
     pub fn snapshot(&self) -> HistoSnapshot {
+        let buckets: [u64; HISTO_BUCKETS] =
+            std::array::from_fn(|i| self.buckets[i].load(Ordering::Relaxed));
         HistoSnapshot {
-            buckets: std::array::from_fn(|i| self.buckets[i].load(Ordering::Relaxed)),
-            count: self.count.load(Ordering::Relaxed),
+            count: buckets.iter().fold(0u64, |n, &b| n.saturating_add(b)),
+            buckets,
             sum: self.sum.load(Ordering::Relaxed),
         }
     }

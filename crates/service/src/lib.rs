@@ -8,9 +8,10 @@
 //! * **incremental sharded ingestion, no global lock** — Table-1
 //!   records stream into a host-sharded [`indaas_deps::ShardedDepDb`];
 //!   each effective batch bumps the global epoch and the epochs of
-//!   exactly the shards it changed, re-cloning only those shards'
-//!   copy-on-write snapshots (ingest cost is proportional to what
-//!   changed, not to database size); batches lock only the shards they
+//!   exactly the shards it changed, publishing fresh snapshots of only
+//!   those shards, each sharing every host list the batch left alone
+//!   (ingest cost is proportional to what changed, not to shard or
+//!   database size); batches lock only the shards they
 //!   touch, snapshots are wait-free per-shard `Arc` loads, and
 //!   duplicates are absorbed silently;
 //! * **segmented persistence** — with [`ServeConfig::db_dir`] set, the

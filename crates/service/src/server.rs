@@ -101,11 +101,11 @@ pub struct ServeConfig {
     /// whatever they report (`None` disables the timer).
     pub collect_interval: Option<Duration>,
     /// Dependency-store shards (clamped to at least 1). More shards
-    /// make ingest cheaper (only the touched shard's snapshot is
-    /// re-cloned), write concurrency wider (writers lock only the
-    /// shards they touch) and cache invalidation narrower (audits
-    /// pinned to untouched shards stay cached); the cost is `shards`
-    /// `Arc` loads per snapshot.
+    /// make each ingest's snapshot refresh smaller (it copies one
+    /// pointer per host of the touched shard, never a record), write
+    /// concurrency wider (writers lock only the shards they touch) and
+    /// cache invalidation narrower (audits pinned to untouched shards
+    /// stay cached); the cost is `shards` `Arc` loads per snapshot.
     pub shards: usize,
     /// Segmented persistence directory. When set, [`Server::bind`]
     /// loads the store from it (segments in parallel; a legacy
@@ -294,7 +294,8 @@ pub(crate) struct ServiceState {
     pub(crate) config: ServeConfig,
     /// The sharded dependency store — shared directly, **no global
     /// lock**. Each shard carries its own write mutex and publishes its
-    /// copy-on-write snapshot through an atomic pointer swap, so
+    /// snapshot (a structural clone sharing every untouched host's
+    /// records) through an atomic pointer swap, so
     /// concurrent ingests to different shards land in parallel and
     /// snapshotting for an audit is N wait-free `Arc` loads regardless
     /// of database size or writer traffic.

@@ -104,9 +104,10 @@ OPTIONS:
   --queue N              bounded job-queue capacity (default 256)
   --cache N              audit-result cache entries (default 4096)
   --shards N             dependency-store shards (default 8); an ingest
-                         re-clones and invalidates only the shards it
-                         touches, so more shards = cheaper ingest and
-                         narrower cache invalidation
+                         refreshes and invalidates only the shards it
+                         touches (copying the hosts it edits, never a
+                         whole shard), so more shards = narrower cache
+                         invalidation and wider write concurrency
   --deadline-ms MS       default per-job deadline (default 30000)
   --db-dir DIR           segmented persistence directory: segments load
                          in parallel at boot (a legacy monolithic

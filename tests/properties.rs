@@ -298,6 +298,62 @@ proptest! {
         prop_assert_eq!(snap.record_count(), pinned_len);
     }
 
+    /// A snapshot freezes its records, not just their count. After it is
+    /// taken, a random mix of ingests, retractions and updates on the
+    /// same hosts edits exactly the host lists it shares with the live
+    /// store (a retract plus an ingest can keep every count unchanged),
+    /// yet every shard of the snapshot still lists, in `records_iter`
+    /// order, the records a monolithic model held at that moment.
+    #[test]
+    fn snapshot_contents_survive_later_edits_of_the_same_hosts(
+        base in record_batch(),
+        // Each op is a record batch; its length picks ingest, retract or
+        // update.
+        ops in proptest::collection::vec(proptest::collection::vec(0u32..60, 1..12usize), 1..8),
+        shards in 1usize..6,
+    ) {
+        let sharded = ShardedDepDb::new(shards);
+        let mut model = VersionedDepDb::new();
+        sharded.ingest(base.clone());
+        model.ingest(base);
+        let snap = sharded.snapshot();
+        let frozen = model.db().all_records();
+        for op in ops {
+            let batch: Vec<DependencyRecord> = op.iter().copied().map(decode_record).collect();
+            match op.len() % 3 {
+                0 => {
+                    sharded.ingest(batch.clone());
+                    model.ingest(batch);
+                }
+                1 => {
+                    sharded.retract(&batch);
+                    model.retract(&batch);
+                }
+                _ => {
+                    let (stale, fresh) = batch.split_at(batch.len() / 2);
+                    sharded.update(stale, fresh.to_vec());
+                    model.update(stale, fresh.to_vec());
+                }
+            }
+        }
+        let shard_records = |snap: &indaas::deps::DbSnapshot, s: usize| -> Vec<DependencyRecord> {
+            snap.shard(s).records_iter().map(|r| r.to_owned()).collect()
+        };
+        let live = sharded.snapshot();
+        let now = model.db().all_records();
+        for s in 0..shards {
+            let in_shard = |records: &[DependencyRecord]| -> Vec<DependencyRecord> {
+                records
+                    .iter()
+                    .filter(|r| shard_index(r.host(), shards) == s)
+                    .cloned()
+                    .collect()
+            };
+            prop_assert_eq!(shard_records(&snap, s), in_shard(&frozen));
+            prop_assert_eq!(shard_records(&live, s), in_shard(&now));
+        }
+    }
+
     /// K threads ingesting disjoint-shard batches concurrently yield
     /// exactly the records and per-shard epochs of a serial replay:
     /// per-shard locking admits no interleaving that a serial order
